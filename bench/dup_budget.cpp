@@ -24,8 +24,7 @@ using namespace cpsflow::analysis;
 namespace {
 
 template <typename ResultT>
-int probesExact(const Context &Ctx, const ResultT &R, const Witness &W,
-                const char *Expect) {
+int probesExact(const ResultT &R, const Witness &W, const char *Expect) {
   int N = 0;
   for (Symbol B : W.InterestingVars)
     if (CD::str(R.valueOf(B).Num) == Expect)
@@ -51,11 +50,11 @@ int main() {
       auto Dup =
           DupAnalyzer<CD>(Ctx, W.Anf, directBindings<CD>(W), Budget).run();
       std::printf("  dup budget %u      | %4d of 5    | %llu\n", Budget,
-                  probesExact(Ctx, Dup, W, "5"),
+                  probesExact(Dup, W, "5"),
                   (unsigned long long)Dup.Stats.Goals);
     }
     std::printf("  semantic-CPS      | %4d of 5    | %llu\n",
-                probesExact(Ctx, Sem, W, "5"),
+                probesExact(Sem, W, "5"),
                 (unsigned long long)Sem.Stats.Goals);
   }
 

@@ -27,27 +27,27 @@
 /// Termination uses the Section 4.4 cut with the least precise value
 /// (T, CL_T, K_T).
 ///
-/// `SyntacticCpsAnalyzer` is a facade over two interchangeable engines:
+/// `SyntacticCpsAnalyzer` is a thin facade over one engine,
+/// `detail::SynIrEngine` (SyntacticIrEngine.h): the program is lowered to
+/// the flat label arena of cps/CpsIr.h, lattice sets are packed bitsets
+/// over the closure/continuation universes, and (when enabled)
+/// continuation summaries short-circuit the Theorem 5.1 re-walks. The
+/// universes and the IR's lambda arrays come from one enumeration
+/// (cps::enumerateLambdas), so a bit index is a universe rank by
+/// construction. The facade picks the set type by universe width: two
+/// inline words (`Bits128`) up to 128 elements, a word vector
+/// (`BitVector`) beyond.
 ///
-///  * `detail::SynIrEngine` (SyntacticIrEngine.h) — the default. The
-///    program is lowered to the flat label arena of cps/CpsIr.h, lattice
-///    sets are 128-bit packed words, and (when enabled) continuation
-///    summaries short-circuit the Theorem 5.1 re-walks. Used whenever the
-///    closure/continuation universes fit in 128 elements and the IR
-///    lowering's enumeration provably matches the universe enumeration.
-///  * `detail::SynTreeEngine` (below) — the reference pointer-tree
-///    evaluator, kept as the fallback for oversized universes and as the
-///    executable specification the IR engine is tested against.
-///
-/// Both engines key goals by (term, StoreId) with hash-consed stores
-/// (domain/StoreInterner.h) and produce byte-identical results.
+/// Goals are keyed by (term label, StoreId) with hash-consed stores
+/// (domain/StoreInterner.h). The pointer-tree reference analyzer in
+/// tests/reference/ is the executable specification: with summaries off
+/// the engine reproduces its answers and work counters exactly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CPSFLOW_ANALYSIS_SYNTACTICCPSANALYZER_H
 #define CPSFLOW_ANALYSIS_SYNTACTICCPSANALYZER_H
 
-#include "analysis/Cfg.h"
 #include "analysis/Common.h"
 #include "analysis/SyntacticIrEngine.h"
 #include "analysis/Universe.h"
@@ -55,432 +55,17 @@
 #include "cps/Transform.h"
 #include "domain/AbsStore.h"
 #include "domain/AbsValue.h"
+#include "domain/PackedSet.h"
 #include "domain/StoreInterner.h"
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace cpsflow {
 namespace analysis {
-namespace detail {
-
-/// The reference pointer-tree engine. Single-use; the facade constructs
-/// it with the universes it already derived.
-template <typename D> class SynTreeEngine {
-public:
-  using Val = domain::CpsAbsVal<D>;
-  using StoreT = domain::AbsStore<Val>;
-  using Answer = AnswerOf<Val>;
-
-  SynTreeEngine(const cps::CpsProgram &Program,
-                std::vector<CpsBinding<D>> Initial, AnalyzerOptions Opts,
-                std::shared_ptr<domain::VarIndex> Vars,
-                domain::CpsCloSet CloTop, domain::KontSet KontTop)
-      : Program(Program), Initial(std::move(Initial)), Opts(Opts),
-        Vars(std::move(Vars)), CloTop(std::move(CloTop)),
-        KontTop(std::move(KontTop)) {
-    Interner.attachMetrics(this->Opts.Metrics);
-    Interner.reset(this->Vars->size());
-  }
-
-  /// Runs the analysis with TopK bound to {stop} (Section 5.1's initial
-  /// store entry k |-> (bot, {}, {stop})).
-  SyntacticResult<D> run() {
-    domain::StoreId Sigma0 = Interner.bottom();
-    for (const CpsBinding<D> &B : Initial) {
-      domain::StoreId Next = Interner.joinAt(Sigma0, Vars->of(B.Var), B.Value);
-      if (Opts.Prov)
-        Opts.Prov->init(Vars->of(B.Var), Next, Sigma0);
-      Sigma0 = Next;
-    }
-    {
-      domain::StoreId Next = Interner.joinAt(
-          Sigma0, Vars->of(Program.TopK),
-          Val::konts(domain::KontSet::single(domain::KontRef::stop())));
-      if (Opts.Prov)
-        Opts.Prov->init(Vars->of(Program.TopK), Next, Sigma0);
-      Sigma0 = Next;
-    }
-
-    EvalOut Out = evalP(Program.Root, Sigma0, 0);
-    finalizeRunStats(Stats, Interner, Memo.size(), Opts);
-    if (Opts.Prov)
-      Opts.Prov->noteFinal(Out.A.Store);
-
-    SyntacticResult<D> R;
-    R.Answer = Answer{std::move(Out.A.Value), Interner.store(Out.A.Store)};
-    R.Stats = Stats;
-    R.Cfg = std::move(Cfg);
-    R.Vars = Vars;
-    return R;
-  }
-
-  /// The run's hash-consing table (observability: distinct stores seen).
-  const domain::StoreInterner<Val> &interner() const { return Interner; }
-
-private:
-  static constexpr uint32_t Unconstrained =
-      std::numeric_limits<uint32_t>::max();
-
-  using IAns = InternedAnswerOf<Val>;
-
-  struct EvalOut {
-    IAns A;
-    uint32_t MinDep;
-  };
-
-  struct Key {
-    const void *Node;
-    domain::StoreId Store;
-
-    friend bool operator==(const Key &A, const Key &B) {
-      return A.Node == B.Node && A.Store == B.Store;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      uint64_t H = hashPointer(K.Node);
-      hashCombine(H, K.Store);
-      return H;
-    }
-  };
-
-  IAns bottomAnswer() { return IAns{Val::bot(), Interner.bottom()}; }
-
-  /// The Section 4.4 cut value (T, CL_T, K_T) with the current store.
-  IAns cutAnswer(domain::StoreId Sigma) const {
-    Val V;
-    V.Num = D::top();
-    V.Clos = CloTop;
-    V.Konts = KontTop;
-    return IAns{std::move(V), Sigma};
-  }
-
-  // phi_e^s of Figure 6.
-  Val phi(const cps::CpsValue *W, domain::StoreId Sigma) const {
-    using namespace cps;
-    switch (W->kind()) {
-    case CpsValueKind::WK_Num:
-      return Val::number(D::constant(cast<CpsNum>(W)->value()));
-    case CpsValueKind::WK_Var:
-      return Interner.get(Sigma, Vars->of(cast<CpsVar>(W)->name()));
-    case CpsValueKind::WK_Prim:
-      return Val::closures(domain::CpsCloSet::single(
-          cast<CpsPrim>(W)->op() == CpsPrimOp::Add1k
-              ? domain::CpsCloRef::inck()
-              : domain::CpsCloRef::deck()));
-    case CpsValueKind::WK_Lam:
-      return Val::closures(domain::CpsCloSet::single(
-          domain::CpsCloRef::lam(cast<CpsLam>(W))));
-    }
-    assert(false && "unknown cps value kind");
-    return Val::bot();
-  }
-
-  /// Provenance of a value form: variables derive from the store fact
-  /// they read; literals, lambdas, and primitives are leaves.
-  domain::ProvId provOfValue(const cps::CpsValue *W,
-                             domain::StoreId Sigma) const {
-    if (const auto *Var = cps::dyn_cast<cps::CpsVar>(W))
-      return Opts.Prov->factOf(Vars->of(Var->name()), Sigma);
-    return domain::NoProv;
-  }
-
-  /// appr_e^s over a single abstract continuation. The parameter write is
-  /// recorded under \p Kind at \p Site: Flow for an ordinary delivery,
-  /// CallMerge when the caller is a return point applying a multi-element
-  /// continuation set (the Theorem 5.1 false-return loss).
-  EvalOut applyKont(const domain::KontRef &K, const Val &U,
-                    domain::StoreId Sigma, uint32_t Depth,
-                    domain::ProvId UProv = domain::NoProv,
-                    domain::EdgeKind Kind = domain::EdgeKind::Flow,
-                    uint32_t SiteId = 0, SourceLoc SiteLoc = SourceLoc{}) {
-    if (K.Tag == domain::KontRef::K::Stop)
-      return EvalOut{IAns{U, Sigma}, Unconstrained};
-    domain::StoreId S = Interner.joinAt(Sigma, Vars->of(K.Cont->param()), U);
-    if (Opts.Prov)
-      Opts.Prov->assign(Kind, Vars->of(K.Cont->param()), S, Sigma,
-                        SiteId ? SiteId : K.Cont->id(),
-                        SiteLoc.isValid() ? SiteLoc : K.Cont->loc(), UProv);
-    return evalP(K.Cont->body(), S, Depth + 1);
-  }
-
-  /// appr_e^s over a continuation *set*: apply every continuation and
-  /// merge — the false-return join of Section 6.1. \p Site is the return
-  /// point (for Stats.CallMerges and provenance attribution).
-  EvalOut applyKontSet(const domain::KontSet &Ks, const Val &U,
-                       domain::StoreId Sigma, uint32_t Depth,
-                       const cps::CpsRet *Site,
-                       domain::ProvId UProv = domain::NoProv) {
-    if (Ks.empty()) {
-      ++Stats.DeadPaths; // join over no paths
-      return EvalOut{bottomAnswer(), Unconstrained};
-    }
-    bool Merging = Ks.size() > 1;
-    if (Merging)
-      Stats.CallMerges += Ks.size() - 1; // Theorem 5.1 false return
-
-    domain::EdgeKind Kind =
-        Merging ? domain::EdgeKind::CallMerge : domain::EdgeKind::Flow;
-    IAns Acc = bottomAnswer();
-    uint32_t MinDep = Unconstrained;
-    for (const domain::KontRef &K : Ks) {
-      EvalOut Ri = applyKont(K, U, Sigma, Depth, UProv, Kind, Site->id(),
-                             Site->loc());
-      Acc = Opts.Prov ? joinAnswers(Interner, Acc, Ri.A, Opts.Prov, Kind,
-                                    Site->id(), Site->loc())
-                      : joinAnswers(Interner, Acc, Ri.A);
-      MinDep = std::min(MinDep, Ri.MinDep);
-    }
-    return EvalOut{std::move(Acc), MinDep};
-  }
-
-  EvalOut evalP(const cps::CpsTerm *P, domain::StoreId Sigma,
-                uint32_t Depth) {
-    if (Stats.BudgetExhausted)
-      return EvalOut{cutAnswer(Sigma), 0};
-    ++Stats.Goals;
-    CPSFLOW_FAULT_COUNTED(fault::Site::AnalyzerGoal, Stats.Goals);
-    if (support::DegradeReason R =
-            Gov.check(Stats.Goals, Depth, Interner.approxBytes());
-        R != support::DegradeReason::None) {
-      Stats.BudgetExhausted = true;
-      Stats.Degraded = R;
-      return EvalOut{cutAnswer(Sigma), 0};
-    }
-    Stats.MaxDepth = std::max<uint64_t>(Stats.MaxDepth, Depth);
-
-    Key K{P, Sigma};
-    observeGoal(Opts, Stats, Depth, Sigma,
-                [&] { return Opts.UseMemo && Memo.count(K) != 0; });
-    if (auto It = Memo.find(K); Opts.UseMemo && It != Memo.end()) {
-      ++Stats.CacheHits;
-      return EvalOut{It->second, Unconstrained};
-    }
-    if (auto It = Active.find(K); It != Active.end()) {
-      ++Stats.Cuts;
-      return EvalOut{cutAnswer(Sigma), It->second};
-    }
-
-    Active.emplace(K, Depth);
-    EvalOut Out = evalUncached(P, Sigma, Depth);
-    Active.erase(K);
-    if (Out.MinDep >= Depth && !Stats.BudgetExhausted) {
-      if (Opts.UseMemo)
-        Memo.emplace(K, Out.A);
-      Out.MinDep = Unconstrained;
-    }
-    return Out;
-  }
-
-  EvalOut evalUncached(const cps::CpsTerm *P, domain::StoreId Sigma,
-                       uint32_t Depth) {
-    using namespace cps;
-
-    switch (P->kind()) {
-    case CpsTermKind::PK_Ret: {
-      // (k W): apply every continuation collected at k and merge.
-      const auto *Ret = cast<CpsRet>(P);
-      Val KVal = Interner.get(Sigma, Vars->of(Ret->kvar()));
-      Val U = phi(Ret->arg(), Sigma);
-
-      domain::KontSet &Rec = Cfg.Returns[Ret];
-      for (const domain::KontRef &K : KVal.Konts)
-        Rec.insert(K);
-
-      return applyKontSet(KVal.Konts, U, Sigma, Depth, Ret,
-                          Opts.Prov ? provOfValue(Ret->arg(), Sigma)
-                                    : domain::NoProv);
-    }
-
-    case CpsTermKind::PK_LetVal: {
-      const auto *Let = cast<CpsLetVal>(P);
-      Val U = phi(Let->bound(), Sigma);
-      domain::StoreId S = Interner.joinAt(Sigma, Vars->of(Let->var()), U);
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Flow, Vars->of(Let->var()), S,
-                          Sigma, Let->id(), Let->loc(),
-                          provOfValue(Let->bound(), Sigma));
-      return evalP(Let->body(), S, Depth + 1);
-    }
-
-    case CpsTermKind::PK_Call: {
-      // (W1 W2 (lambda (x) P')): apply each closure; user closures get
-      // the literal continuation *joined into* their k parameter's store
-      // entry — the collection that later causes false returns.
-      const auto *Call = cast<CpsCall>(P);
-      Val Fun = phi(Call->fun(), Sigma);
-      Val Arg = phi(Call->arg(), Sigma);
-      domain::KontRef Kont = domain::KontRef::cont(Call->cont());
-
-      domain::CpsCloSet &Rec = Cfg.Callees[Call];
-      for (const domain::CpsCloRef &C : Fun.Clos)
-        Rec.insert(C);
-
-      if (Fun.Clos.empty()) {
-        ++Stats.DeadPaths; // join over no paths
-        return EvalOut{bottomAnswer(), Unconstrained};
-      }
-
-      if (Fun.Clos.size() > 1)
-        Stats.Joins += Fun.Clos.size() - 1; // multi-callee answer merge
-
-      domain::ProvId ArgProv =
-          Opts.Prov ? provOfValue(Call->arg(), Sigma) : domain::NoProv;
-      IAns Acc = bottomAnswer();
-      uint32_t MinDep = Unconstrained;
-      for (const domain::CpsCloRef &C : Fun.Clos) {
-        EvalOut Ri;
-        switch (C.Tag) {
-        case domain::CpsCloRef::K::Inck:
-          Ri = applyKont(Kont, Val::number(D::add1(Arg.Num)), Sigma,
-                         Depth + 1, ArgProv, domain::EdgeKind::Flow,
-                         Call->id(), Call->loc());
-          break;
-        case domain::CpsCloRef::K::Deck:
-          Ri = applyKont(Kont, Val::number(D::sub1(Arg.Num)), Sigma,
-                         Depth + 1, ArgProv, domain::EdgeKind::Flow,
-                         Call->id(), Call->loc());
-          break;
-        case domain::CpsCloRef::K::Lam: {
-          domain::StoreId S =
-              Interner.joinAt(Sigma, Vars->of(C.Lam->param()), Arg);
-          if (Opts.Prov)
-            Opts.Prov->assign(domain::EdgeKind::Flow,
-                              Vars->of(C.Lam->param()), S, Sigma, Call->id(),
-                              Call->loc(), ArgProv);
-          domain::StoreId S2 = Interner.joinAt(
-              S, Vars->of(C.Lam->kparam()),
-              Val::konts(domain::KontSet::single(Kont)));
-          // The continuation-set collection at k — the raw material of a
-          // later false return (the loss itself is tagged at the Ret).
-          if (Opts.Prov)
-            Opts.Prov->assign(domain::EdgeKind::Flow,
-                              Vars->of(C.Lam->kparam()), S2, S, Call->id(),
-                              Call->loc());
-          Ri = evalP(C.Lam->body(), S2, Depth + 1);
-          break;
-        }
-        }
-        Acc = Opts.Prov ? joinAnswers(Interner, Acc, Ri.A, Opts.Prov,
-                                      domain::EdgeKind::Join, Call->id(),
-                                      Call->loc())
-                        : joinAnswers(Interner, Acc, Ri.A);
-        MinDep = std::min(MinDep, Ri.MinDep);
-      }
-      return EvalOut{std::move(Acc), MinDep};
-    }
-
-    case CpsTermKind::PK_If: {
-      // (let (k (lambda (x) P')) (if0 W0 P1 P2)): name the join
-      // continuation, then each feasible branch is analyzed as a complete
-      // program (per-branch duplication, Theorem 5.2).
-      const auto *If = cast<CpsIf>(P);
-      Val U0 = phi(If->cond(), Sigma);
-      domain::ZeroTest Zt = D::isZero(U0.Num);
-
-      bool ThenOnly = Zt == domain::ZeroTest::Zero && U0.Clos.empty() &&
-                      U0.Konts.empty();
-      bool ElseOnly = Zt == domain::ZeroTest::NonZero ||
-                      Zt == domain::ZeroTest::Bottom;
-
-      BranchInfo &BI = Cfg.Branches[If];
-      BI.ThenFeasible |= !ElseOnly;
-      BI.ElseFeasible |= !ThenOnly;
-      if (ThenOnly || ElseOnly)
-        ++Stats.PrunedBranches;
-
-      domain::StoreId S = Interner.joinAt(
-          Sigma, Vars->of(If->kvar()),
-          Val::konts(domain::KontSet::single(
-              domain::KontRef::cont(If->join()))));
-      if (Opts.Prov)
-        Opts.Prov->assign(domain::EdgeKind::Flow, Vars->of(If->kvar()), S,
-                          Sigma, If->id(), If->loc());
-
-      if (ThenOnly || ElseOnly)
-        return evalP(ThenOnly ? If->thenBranch() : If->elseBranch(), S,
-                     Depth + 1);
-
-      ++Stats.Joins;
-      EvalOut B1 = evalP(If->thenBranch(), S, Depth + 1);
-      EvalOut B2 = evalP(If->elseBranch(), S, Depth + 1);
-      IAns Joined = Opts.Prov
-                        ? joinAnswers(Interner, B1.A, B2.A, Opts.Prov,
-                                      domain::EdgeKind::Join, If->id(),
-                                      If->loc())
-                        : joinAnswers(Interner, B1.A, B2.A);
-      return EvalOut{std::move(Joined), std::min(B1.MinDep, B2.MinDep)};
-    }
-
-    case CpsTermKind::PK_Loop: {
-      // loopk: deliver each natural to the continuation and join —
-      // uncomputable exactly (Section 6.2); bounded unroll as in Figure 5.
-      const auto *Loop = cast<CpsLoop>(P);
-      domain::KontRef Kont = domain::KontRef::cont(Loop->cont());
-      // No finite unrolling is exact (Section 6.2): flag the truncation
-      // unconditionally — a join that *looks* converged at the bound is
-      // still untrustworthy (a probe beyond the bound may change it).
-      Stats.LoopBounded = true;
-      IAns Acc = bottomAnswer();
-      uint32_t MinDep = Unconstrained;
-      auto JoinIter = [&](const IAns &A) {
-        return Opts.Prov ? joinAnswers(Interner, Acc, A, Opts.Prov,
-                                       domain::EdgeKind::Widen, Loop->id(),
-                                       Loop->loc())
-                         : joinAnswers(Interner, Acc, A);
-      };
-      for (uint32_t I = 0; I < Opts.LoopUnroll; ++I) {
-        EvalOut Bi =
-            applyKont(Kont, Val::number(D::constant(I)), Sigma, Depth + 1,
-                      domain::NoProv, domain::EdgeKind::Widen, Loop->id(),
-                      Loop->loc());
-        Acc = JoinIter(Bi.A);
-        MinDep = std::min(MinDep, Bi.MinDep);
-        if (Stats.BudgetExhausted)
-          break;
-      }
-      if (Opts.LoopSoundSummary) {
-        domain::ProvId WidenProv =
-            Opts.Prov ? Opts.Prov->value(domain::EdgeKind::Widen, Loop->id(),
-                                         Loop->loc())
-                      : domain::NoProv;
-        EvalOut Bs =
-            applyKont(Kont, Val::number(D::naturals()), Sigma, Depth + 1,
-                      WidenProv, domain::EdgeKind::Widen, Loop->id(),
-                      Loop->loc());
-        Acc = JoinIter(Bs.A);
-        MinDep = std::min(MinDep, Bs.MinDep);
-      }
-      return EvalOut{std::move(Acc), MinDep};
-    }
-    }
-    assert(false && "unknown cps term kind");
-    return EvalOut{bottomAnswer(), Unconstrained};
-  }
-
-  const cps::CpsProgram &Program;
-  std::vector<CpsBinding<D>> Initial;
-  AnalyzerOptions Opts;
-
-  std::shared_ptr<domain::VarIndex> Vars;
-  domain::CpsCloSet CloTop;
-  domain::KontSet KontTop;
-  domain::StoreInterner<Val> Interner;
-  AnalyzerStats Stats;
-  support::Governor Gov{Opts.Governor, Opts.MaxGoals};
-  CpsCfg Cfg;
-
-  std::unordered_map<Key, IAns, KeyHash> Memo;
-  std::unordered_map<Key, uint32_t, KeyHash> Active;
-};
-
-} // namespace detail
 
 /// The Figure 6 analyzer facade. Single-use: construct, run() once,
 /// then (optionally) consult universes and the interner.
@@ -494,6 +79,8 @@ public:
                        std::vector<CpsBinding<D>> Initial = {},
                        AnalyzerOptions Opts = AnalyzerOptions())
       : Ctx(Ctx), Program(Program), Initial(std::move(Initial)), Opts(Opts) {
+    std::vector<const cps::CpsLam *> ExtraLams;
+    std::vector<Symbol> ExtraVars;
     for (const CpsBinding<D> &B : this->Initial) {
       ExtraVars.push_back(B.Var);
       for (const domain::CpsCloRef &C : B.Value.Clos)
@@ -502,18 +89,18 @@ public:
     }
     Vars = std::make_shared<domain::VarIndex>(
         cpsVariableUniverse(Program, ExtraLams, ExtraVars));
-    CloTop = cpsClosureUniverse(Program, ExtraLams);
-    KontTop = cpsKontUniverse(Program, ExtraLams);
+    Lambdas = cps::enumerateLambdas(Program, ExtraLams);
+    CloTop = cpsClosureUniverse(Lambdas);
+    KontTop = cpsKontUniverse(Lambdas);
   }
 
   /// Runs the analysis with TopK bound to {stop} (Section 5.1's initial
   /// store entry k |-> (bot, {}, {stop})).
   SyntacticResult<D> run() {
-    if (tryBuildIrEngine())
-      return IrEng->run();
-    TreeEng = std::make_unique<detail::SynTreeEngine<D>>(
-        Program, std::move(Initial), Opts, Vars, CloTop, KontTop);
-    return TreeEng->run();
+    if (CloTop.size() <= domain::Bits128::Capacity &&
+        KontTop.size() <= domain::Bits128::Capacity)
+      return runOn(Narrow);
+    return runOn(Wide);
   }
 
   const domain::CpsCloSet &closureUniverse() const { return CloTop; }
@@ -522,10 +109,10 @@ public:
   /// The run's hash-consing table (observability: distinct stores seen;
   /// resolves provenance StoreIds). Before run(), an empty table.
   const domain::StoreInterner<Val> &interner() const {
-    if (IrEng)
-      return IrEng->publicInterner();
-    if (TreeEng)
-      return TreeEng->interner();
+    if (Narrow)
+      return Narrow->publicInterner();
+    if (Wide)
+      return Wide->publicInterner();
     if (!EmptyInterner) {
       EmptyInterner = std::make_unique<domain::StoreInterner<Val>>();
       EmptyInterner->reset(Vars->size());
@@ -534,91 +121,37 @@ public:
   }
 
 private:
-  /// Lowers the program to the flat IR and checks, element by element,
-  /// that the IR's lambda/continuation enumeration coincides with the
-  /// analyzer's universe enumeration — the invariant that makes the
-  /// packed bit index == sorted-set rank isomorphism hold. Any mismatch
-  /// (or an oversized universe) keeps the tree engine.
-  bool tryBuildIrEngine() {
-    if (CloTop.size() > 128 || KontTop.size() > 128)
-      return false;
-    auto SlotOf = [this](Symbol S) -> int64_t {
-      if (auto I = Vars->tryOf(S))
-        return static_cast<int64_t>(*I);
-      return -1;
-    };
-    std::optional<cps::CpsIr> Ir = cps::buildCpsIr(Program, ExtraLams, SlotOf);
-    if (!Ir)
-      return false;
-    if (CloTop.size() != 2 + Ir->Lams.size() ||
-        KontTop.size() != 1 + Ir->Conts.size())
-      return false;
-    {
-      uint32_t I = 0;
-      for (const domain::CpsCloRef &C : CloTop) {
-        bool Ok = I == 0   ? C.Tag == domain::CpsCloRef::K::Inck
-                  : I == 1 ? C.Tag == domain::CpsCloRef::K::Deck
-                           : C.Tag == domain::CpsCloRef::K::Lam &&
-                                 C.Lam == Ir->Lams[I - 2].Src;
-        if (!Ok)
-          return false;
-        ++I;
-      }
-    }
-    {
-      uint32_t I = 0;
-      for (const domain::KontRef &K : KontTop) {
-        bool Ok = I == 0 ? K.Tag == domain::KontRef::K::Stop
-                         : K.Tag == domain::KontRef::K::Cont &&
-                               K.Cont == Ir->Conts[I - 1].Src;
-        if (!Ok)
-          return false;
-        ++I;
-      }
-    }
-
-    std::unordered_map<const cps::CpsLam *, uint32_t> LamRank;
-    for (uint32_t I = 0; I < Ir->Lams.size(); ++I)
-      LamRank.emplace(Ir->Lams[I].Src, 2 + I);
-    std::unordered_map<const cps::ContLam *, uint32_t> ContRank;
-    for (uint32_t I = 0; I < Ir->Conts.size(); ++I)
-      ContRank.emplace(Ir->Conts[I].Src, 1 + I);
-
-    std::vector<detail::PackedCpsBinding<D>> Packed;
+  template <typename Set>
+  SyntacticResult<D> runOn(std::unique_ptr<detail::SynIrEngine<D, Set>> &Eng) {
+    std::vector<detail::PackedCpsBinding<D, Set>> Packed;
     Packed.reserve(Initial.size());
     for (const CpsBinding<D> &B : Initial) {
-      detail::PackedCpsBinding<D> P;
+      detail::PackedCpsBinding<D, Set> P;
       P.Slot = Vars->of(B.Var);
       P.Value.Num = B.Value.Num;
-      for (const domain::CpsCloRef &C : B.Value.Clos) {
-        if (C.Tag == domain::CpsCloRef::K::Inck) {
-          P.Value.Clos.set(0);
-        } else if (C.Tag == domain::CpsCloRef::K::Deck) {
-          P.Value.Clos.set(1);
-        } else {
-          auto It = LamRank.find(C.Lam);
-          if (It == LamRank.end())
-            return false;
-          P.Value.Clos.set(It->second);
-        }
-      }
-      for (const domain::KontRef &K : B.Value.Konts) {
-        if (K.Tag == domain::KontRef::K::Stop) {
-          P.Value.Konts.set(0);
-        } else {
-          auto It = ContRank.find(K.Cont);
-          if (It == ContRank.end())
-            return false;
-          P.Value.Konts.set(It->second);
-        }
-      }
+      P.Value.Clos = pack<Set>(B.Value.Clos, CloTop);
+      P.Value.Konts = pack<Set>(B.Value.Konts, KontTop);
       Packed.push_back(std::move(P));
     }
+    Eng = std::make_unique<detail::SynIrEngine<D, Set>>(
+        cps::buildCpsIr(Program, Lambdas,
+                        [this](Symbol S) { return Vars->of(S); }),
+        Vars, std::move(Packed), Vars->of(Program.TopK), Opts);
+    return Eng->run();
+  }
 
-    IrEng = std::make_unique<detail::SynIrEngine<D>>(
-        std::move(*Ir), Vars, std::move(Packed), Vars->of(Program.TopK),
-        Opts);
-    return true;
+  /// Packs \p S by rank in \p Universe: the packed bit index.
+  template <typename Set, typename Ref>
+  static Set pack(const domain::SortedSet<Ref> &S,
+                  const domain::SortedSet<Ref> &Universe) {
+    Set Out;
+    for (const Ref &R : S) {
+      auto It = std::lower_bound(Universe.begin(), Universe.end(), R);
+      assert(It != Universe.end() && *It == R &&
+             "initial binding outside the analysis universe");
+      Out.set(static_cast<uint32_t>(It - Universe.begin()));
+    }
+    return Out;
   }
 
   const Context &Ctx;
@@ -626,14 +159,13 @@ private:
   std::vector<CpsBinding<D>> Initial;
   AnalyzerOptions Opts;
 
-  std::vector<const cps::CpsLam *> ExtraLams;
-  std::vector<Symbol> ExtraVars;
   std::shared_ptr<domain::VarIndex> Vars;
+  cps::CpsLambdas Lambdas;
   domain::CpsCloSet CloTop;
   domain::KontSet KontTop;
 
-  std::unique_ptr<detail::SynIrEngine<D>> IrEng;
-  std::unique_ptr<detail::SynTreeEngine<D>> TreeEng;
+  std::unique_ptr<detail::SynIrEngine<D, domain::Bits128>> Narrow;
+  std::unique_ptr<detail::SynIrEngine<D, domain::BitVector>> Wide;
   mutable std::unique_ptr<domain::StoreInterner<Val>> EmptyInterner;
 };
 

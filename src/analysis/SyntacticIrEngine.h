@@ -5,17 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fast engine behind SyntacticCpsAnalyzer: the same Figure 6
-/// abstract collecting interpreter, evaluated over the flat label-arena
-/// IR (cps/CpsIr.h) with word-packed lattice values (domain/PackedSet.h)
-/// and, optionally, continuation summarization.
+/// The engine behind SyntacticCpsAnalyzer: the Figure 6 abstract
+/// collecting interpreter, evaluated over the flat label-arena IR
+/// (cps/CpsIr.h) with word-packed lattice values (domain/PackedSet.h)
+/// and, optionally, continuation summarization. It is a template over
+/// the packed set type, so one interpreter serves every universe width.
 ///
-/// The engine is a structural 1:1 port of the pointer-tree evaluator.
-/// Because packing is an order-preserving lattice isomorphism (universe
-/// bit index == SortedSet rank) and the packed interner performs exactly
-/// the same sequence of join/intern events, the engine's answers, CFG,
-/// provenance edges, and work counters are byte-identical to the tree
-/// engine's — tests/InternEquivalenceTests.cpp and fuzz oracle O4 pin
+/// The engine is a structural 1:1 port of the pointer-tree reference
+/// analyzer (tests/reference/RefSyntacticCpsAnalyzer.h). Because packing
+/// is an order-preserving lattice isomorphism (universe bit index ==
+/// SortedSet rank) and the packed interner performs exactly the same
+/// sequence of join/intern events, the engine's answers, CFG, provenance
+/// edges, and work counters with summaries off are byte-identical to the
+/// reference's — tests/InternEquivalenceTests.cpp and fuzz oracle O4 pin
 /// this.
 ///
 /// With AnalyzerOptions::UseSummaries on, each completed walk of a goal
@@ -96,33 +98,31 @@ template <typename D> struct SyntacticResult {
 namespace detail {
 
 /// An initial binding with the variable resolved to its dense slot and
-/// the value packed — produced by the facade's eligibility check.
-template <typename D> struct PackedCpsBinding {
+/// the value packed by universe rank.
+template <typename D, typename Set> struct PackedCpsBinding {
   uint32_t Slot = 0;
-  domain::PackedCpsVal<D> Value;
+  domain::PackedCpsVal<D, Set> Value;
 };
 
-/// The arena-IR engine. Single-use; constructed by SyntacticCpsAnalyzer
-/// only when the program's universes fit the 128-bit packed sets and the
-/// IR lowering succeeded.
-template <typename D> class SynIrEngine {
+/// The arena-IR engine over packed sets of type \p Set (Bits128 or
+/// BitVector, chosen by SyntacticCpsAnalyzer from the universe width).
+/// Single-use.
+template <typename D, typename Set> class SynIrEngine {
 public:
   using Val = domain::CpsAbsVal<D>;
   using StoreT = domain::AbsStore<Val>;
   using Answer = AnswerOf<Val>;
-  using PVal = domain::PackedCpsVal<D>;
+  using PVal = domain::PackedCpsVal<D, Set>;
   using PStore = domain::AbsStore<PVal>;
 
   SynIrEngine(cps::CpsIr IrIn, std::shared_ptr<domain::VarIndex> VarsIn,
-              std::vector<PackedCpsBinding<D>> InitialIn, uint32_t TopKSlot,
-              AnalyzerOptions Opts)
+              std::vector<PackedCpsBinding<D, Set>> InitialIn,
+              uint32_t TopKSlot, AnalyzerOptions Opts)
       : Ir(std::move(IrIn)), Vars(std::move(VarsIn)),
         Initial(std::move(InitialIn)), TopKSlot(TopKSlot), Opts(Opts) {
     SummariesOn = this->Opts.UseSummaries && !this->Opts.Prov;
-    PCloTop = domain::Bits128::firstN(
-        static_cast<uint32_t>(2 + Ir.Lams.size()));
-    PKontTop = domain::Bits128::firstN(
-        static_cast<uint32_t>(1 + Ir.Conts.size()));
+    PCloTop = Set::firstN(static_cast<uint32_t>(2 + Ir.Lams.size()));
+    PKontTop = Set::firstN(static_cast<uint32_t>(1 + Ir.Conts.size()));
     VarWords = (Vars->size() + 63) / 64;
     TermWords = (Ir.Terms.size() + 63) / 64;
     QEOff = VarWords;
@@ -141,7 +141,7 @@ public:
 
   SyntacticResult<D> run() {
     domain::StoreId Sigma0 = Interner.bottom();
-    for (const PackedCpsBinding<D> &B : Initial) {
+    for (const PackedCpsBinding<D, Set> &B : Initial) {
       domain::StoreId Next = Interner.joinAt(Sigma0, B.Slot, B.Value);
       if (Opts.Prov)
         Opts.Prov->init(B.Slot, Next, Sigma0);
@@ -149,7 +149,7 @@ public:
     }
     {
       domain::StoreId Next = Interner.joinAt(
-          Sigma0, TopKSlot, PVal::konts(domain::Bits128::single(0)));
+          Sigma0, TopKSlot, PVal::konts(Set::single(0)));
       if (Opts.Prov)
         Opts.Prov->init(TopKSlot, Next, Sigma0);
       Sigma0 = Next;
@@ -557,7 +557,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // The interpreter proper (1:1 port of the tree engine)
+  // The interpreter proper (1:1 port of the reference analyzer)
   //===--------------------------------------------------------------------===//
 
   IAns bottomAnswer() { return IAns{PVal::bot(), Interner.bottom()}; }
@@ -587,11 +587,11 @@ private:
     case cps::CpsIr::ValKind::Var:
       return getSlot(Sigma, V.A);
     case cps::CpsIr::ValKind::Inck:
-      return PVal::closures(domain::Bits128::single(0));
+      return PVal::closures(Set::single(0));
     case cps::CpsIr::ValKind::Deck:
-      return PVal::closures(domain::Bits128::single(1));
+      return PVal::closures(Set::single(1));
     case cps::CpsIr::ValKind::Lam:
-      return PVal::closures(domain::Bits128::single(2 + V.A));
+      return PVal::closures(Set::single(2 + V.A));
     }
     assert(false && "unknown ir value kind");
     return PVal::bot();
@@ -624,7 +624,7 @@ private:
 
   /// appr_e^s over a continuation *set*: apply every continuation and
   /// merge — the false-return join of Section 6.1.
-  EvalOut applyKontSet(domain::Bits128 Ks, const PVal &U,
+  EvalOut applyKontSet(const Set &Ks, const PVal &U,
                        domain::StoreId Sigma, uint32_t Depth,
                        const cps::CpsIr::TermNode &Site,
                        domain::ProvId UProv = domain::NoProv) {
@@ -721,12 +721,13 @@ private:
     switch (T.Kind) {
     case cps::CpsTermKind::PK_Ret: {
       // (k W): apply every continuation collected at k and merge.
-      PVal KVal = getSlot(Sigma, T.A);
+      // Interned stores never move, so the slot can be read in place.
+      const PVal &KVal = getSlot(Sigma, T.A);
       PVal U = phi(T.B, Sigma);
 
       TermAcc &A = Acc[P];
       A.Visited = true;
-      A.Set = domain::Bits128::join(A.Set, KVal.Konts);
+      A.Refs = Set::join(A.Refs, KVal.Konts);
 
       return applyKontSet(KVal.Konts, U, Sigma, Depth, T,
                           Opts.Prov ? provOfValue(T.B, Sigma)
@@ -752,7 +753,7 @@ private:
 
       TermAcc &CA = Acc[P];
       CA.Visited = true;
-      CA.Set = domain::Bits128::join(CA.Set, Fun.Clos);
+      CA.Refs = Set::join(CA.Refs, Fun.Clos);
 
       if (Fun.Clos.empty()) {
         ++Stats.DeadPaths; // join over no paths
@@ -783,7 +784,7 @@ private:
             Opts.Prov->assign(domain::EdgeKind::Flow, L.ParamSlot, S, Sigma,
                               T.SrcId, T.Loc, ArgProv);
           domain::StoreId S2 = Interner.joinAt(
-              S, L.KParamSlot, PVal::konts(domain::Bits128::single(Kont)));
+              S, L.KParamSlot, PVal::konts(Set::single(Kont)));
           // The continuation-set collection at k — the raw material of a
           // later false return (the loss itself is tagged at the Ret).
           if (Opts.Prov)
@@ -820,7 +821,7 @@ private:
         ++Stats.PrunedBranches;
 
       domain::StoreId S = Interner.joinAt(
-          Sigma, T.A, PVal::konts(domain::Bits128::single(T.J)));
+          Sigma, T.A, PVal::konts(Set::single(T.J)));
       if (Opts.Prov)
         Opts.Prov->assign(domain::EdgeKind::Flow, T.A, S, Sigma, T.SrcId,
                           T.Loc);
@@ -926,7 +927,7 @@ private:
     bool Visited = false;
     bool ThenFeasible = false;
     bool ElseFeasible = false;
-    domain::Bits128 Set; ///< konts at a Ret, closures at a Call
+    Set Refs; ///< konts at a Ret, closures at a Call
   };
 
   CpsCfg buildCfg() const {
@@ -939,12 +940,12 @@ private:
       switch (T.Kind) {
       case cps::CpsTermKind::PK_Ret: {
         domain::KontSet &S = C.Returns[cps::cast<cps::CpsRet>(T.Src)];
-        A.Set.forEach([&](uint32_t R) { S.insert(kontRefOf(R)); });
+        A.Refs.forEach([&](uint32_t R) { S.insert(kontRefOf(R)); });
         break;
       }
       case cps::CpsTermKind::PK_Call: {
         domain::CpsCloSet &S = C.Callees[cps::cast<cps::CpsCall>(T.Src)];
-        A.Set.forEach([&](uint32_t R) { S.insert(cloRefOf(R)); });
+        A.Refs.forEach([&](uint32_t R) { S.insert(cloRefOf(R)); });
         break;
       }
       case cps::CpsTermKind::PK_If: {
@@ -962,13 +963,13 @@ private:
 
   cps::CpsIr Ir;
   std::shared_ptr<domain::VarIndex> Vars;
-  std::vector<PackedCpsBinding<D>> Initial;
+  std::vector<PackedCpsBinding<D, Set>> Initial;
   uint32_t TopKSlot;
   AnalyzerOptions Opts;
   bool SummariesOn = false;
 
-  domain::Bits128 PCloTop;
-  domain::Bits128 PKontTop;
+  Set PCloTop;
+  Set PKontTop;
   uint32_t VarWords = 0;
   uint32_t TermWords = 0;
   /// Word offsets of the QEntry/QFluid/QAbove sections in a fingerprint
@@ -1003,6 +1004,19 @@ private:
 
   mutable std::unique_ptr<domain::StoreInterner<Val>> PubInterner;
 };
+
+// Compiled once, in SyntacticIrEngine.cpp, for every numeric domain at
+// both set widths; includers link against those copies.
+extern template class SynIrEngine<domain::ConstantDomain, domain::Bits128>;
+extern template class SynIrEngine<domain::ConstantDomain, domain::BitVector>;
+extern template class SynIrEngine<domain::UnitDomain, domain::Bits128>;
+extern template class SynIrEngine<domain::UnitDomain, domain::BitVector>;
+extern template class SynIrEngine<domain::SignDomain, domain::Bits128>;
+extern template class SynIrEngine<domain::SignDomain, domain::BitVector>;
+extern template class SynIrEngine<domain::ParityDomain, domain::Bits128>;
+extern template class SynIrEngine<domain::ParityDomain, domain::BitVector>;
+extern template class SynIrEngine<domain::IntervalDomain, domain::Bits128>;
+extern template class SynIrEngine<domain::IntervalDomain, domain::BitVector>;
 
 } // namespace detail
 } // namespace analysis

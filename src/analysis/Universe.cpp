@@ -59,31 +59,31 @@ std::vector<Symbol> cpsflow::analysis::cpsVariableUniverse(
   return Vars;
 }
 
+domain::CpsCloSet
+cpsflow::analysis::cpsClosureUniverse(const cps::CpsLambdas &Lambdas) {
+  std::vector<domain::CpsCloRef> Refs{domain::CpsCloRef::inck(),
+                                      domain::CpsCloRef::deck()};
+  for (const cps::CpsLam *Lam : Lambdas.Lams)
+    Refs.push_back(domain::CpsCloRef::lam(Lam));
+  return domain::CpsCloSet::of(std::move(Refs));
+}
+
 domain::CpsCloSet cpsflow::analysis::cpsClosureUniverse(
     const cps::CpsProgram &Program,
     const std::vector<const cps::CpsLam *> &ExtraLams) {
-  std::vector<domain::CpsCloRef> Refs;
-  Refs.push_back(domain::CpsCloRef::inck());
-  Refs.push_back(domain::CpsCloRef::deck());
-  for (const cps::CpsLam *Lam : cps::collectCpsLams(Program.Root))
-    Refs.push_back(domain::CpsCloRef::lam(Lam));
-  for (const cps::CpsLam *Lam : ExtraLams) {
-    Refs.push_back(domain::CpsCloRef::lam(Lam));
-    for (const cps::CpsLam *Nested : cps::collectCpsLams(Lam->body()))
-      Refs.push_back(domain::CpsCloRef::lam(Nested));
-  }
-  return domain::CpsCloSet::of(std::move(Refs));
+  return cpsClosureUniverse(cps::enumerateLambdas(Program, ExtraLams));
+}
+
+domain::KontSet
+cpsflow::analysis::cpsKontUniverse(const cps::CpsLambdas &Lambdas) {
+  std::vector<domain::KontRef> Refs{domain::KontRef::stop()};
+  for (const cps::ContLam *C : Lambdas.Conts)
+    Refs.push_back(domain::KontRef::cont(C));
+  return domain::KontSet::of(std::move(Refs));
 }
 
 domain::KontSet cpsflow::analysis::cpsKontUniverse(
     const cps::CpsProgram &Program,
     const std::vector<const cps::CpsLam *> &ExtraLams) {
-  std::vector<domain::KontRef> Refs;
-  Refs.push_back(domain::KontRef::stop());
-  for (const cps::ContLam *C : cps::collectContLams(Program.Root))
-    Refs.push_back(domain::KontRef::cont(C));
-  for (const cps::CpsLam *Lam : ExtraLams)
-    for (const cps::ContLam *C : cps::collectContLams(Lam->body()))
-      Refs.push_back(domain::KontRef::cont(C));
-  return domain::KontSet::of(std::move(Refs));
+  return cpsKontUniverse(cps::enumerateLambdas(Program, ExtraLams));
 }

@@ -47,12 +47,16 @@ cpsVariableUniverse(const cps::CpsProgram &Program,
                     const std::vector<const cps::CpsLam *> &ExtraLams,
                     const std::vector<Symbol> &ExtraVars);
 
-/// CL_T for the syntactic-CPS analysis: inck, deck, and every CPS lambda.
+/// CL_T for the syntactic-CPS analysis: inck, deck, and every CPS lambda
+/// of \p Lambdas — so `Lambdas.Lams[i]` has rank 2 + i.
+domain::CpsCloSet cpsClosureUniverse(const cps::CpsLambdas &Lambdas);
 domain::CpsCloSet
 cpsClosureUniverse(const cps::CpsProgram &Program,
                    const std::vector<const cps::CpsLam *> &ExtraLams);
 
-/// K_T for the syntactic-CPS analysis: stop and every continuation lambda.
+/// K_T for the syntactic-CPS analysis: stop and every continuation lambda
+/// of \p Lambdas — so `Lambdas.Conts[i]` has rank 1 + i.
+domain::KontSet cpsKontUniverse(const cps::CpsLambdas &Lambdas);
 domain::KontSet
 cpsKontUniverse(const cps::CpsProgram &Program,
                 const std::vector<const cps::CpsLam *> &ExtraLams);

@@ -16,11 +16,11 @@
 ///  * every CpsValue is a record in `Vals` with its variable slot (the
 ///    dense VarIndex id) pre-resolved, eliminating per-access Symbol
 ///    hash lookups;
-///  * user lambdas and continuation lambdas live in id-sorted `Lams` /
-///    `Conts` arrays whose positions coincide with the analyzer's
-///    closure/continuation universe enumeration (Universe.cpp sorts the
-///    same refs the same way), so a packed-set bit index dereferences
-///    straight to the callee's parameter slots and body label.
+///  * user lambdas and continuation lambdas live in `Lams` / `Conts`
+///    arrays laid out by the same enumeration (cps::enumerateLambdas)
+///    that orders the analyzer's closure/continuation universes, so a
+///    packed-set bit index dereferences straight to the callee's
+///    parameter slots and body label.
 ///
 /// Each record keeps the original node pointer (plus its id and source
 /// location) for the cold paths: CFG recording, provenance attribution,
@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 namespace cpsflow {
@@ -100,16 +99,12 @@ struct CpsIr {
   uint32_t Root = 0;
 };
 
-/// Lowers \p Program (plus the extra lambdas seeded from initial
-/// bindings, mirroring the analyzer's universe construction) into a flat
-/// arena. \p SlotOf maps a variable to its dense store slot, or a
-/// negative value when the variable is unknown; an unknown variable
-/// aborts the lowering. \returns std::nullopt on failure — callers fall
-/// back to the pointer-tree evaluator.
-std::optional<CpsIr>
-buildCpsIr(const CpsProgram &Program,
-           const std::vector<const CpsLam *> &ExtraLams,
-           const std::function<int64_t(Symbol)> &SlotOf);
+/// Lowers \p Program into a flat arena whose `Lams`/`Conts` arrays are
+/// \p Lambdas in order (see enumerateLambdas). \p SlotOf maps a variable
+/// to its dense store slot; it must know every variable of the program
+/// and of the lambdas' bodies.
+CpsIr buildCpsIr(const CpsProgram &Program, const CpsLambdas &Lambdas,
+                 const std::function<uint32_t(Symbol)> &SlotOf);
 
 } // namespace cps
 } // namespace cpsflow

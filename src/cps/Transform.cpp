@@ -10,6 +10,7 @@
 #include "cps/CpsIr.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -399,6 +400,25 @@ std::vector<Symbol> cpsflow::cps::collectCpsVariables(const CpsTerm *P,
   return std::vector<Symbol>(All.begin(), All.end());
 }
 
+CpsLambdas
+cpsflow::cps::enumerateLambdas(const CpsProgram &Program,
+                               const std::vector<const CpsLam *> &ExtraLams) {
+  CpsLambdas L{collectCpsLams(Program.Root), collectContLams(Program.Root)};
+  for (const CpsLam *E : ExtraLams) {
+    L.Lams.push_back(E);
+    for (const CpsLam *N : collectCpsLams(E->body()))
+      L.Lams.push_back(N);
+    for (const ContLam *C : collectContLams(E->body()))
+      L.Conts.push_back(C);
+  }
+  auto ById = [](const auto *A, const auto *B) { return A->id() < B->id(); };
+  std::sort(L.Lams.begin(), L.Lams.end(), ById);
+  L.Lams.erase(std::unique(L.Lams.begin(), L.Lams.end()), L.Lams.end());
+  std::sort(L.Conts.begin(), L.Conts.end(), ById);
+  L.Conts.erase(std::unique(L.Conts.begin(), L.Conts.end()), L.Conts.end());
+  return L;
+}
+
 //===----------------------------------------------------------------------===//
 // Flat label-arena lowering (CpsIr.h)
 //===----------------------------------------------------------------------===//
@@ -411,23 +431,13 @@ namespace {
 /// buildCpsIr's driver loop — so every term gets exactly one label.
 struct IrBuilder {
   CpsIr Ir;
-  const std::function<int64_t(Symbol)> &SlotOf;
+  const std::function<uint32_t(Symbol)> &SlotOf;
   std::unordered_map<const CpsLam *, uint32_t> LamIdx;
   std::unordered_map<const ContLam *, uint32_t> ContIdx;
   std::unordered_map<const CpsValue *, uint32_t> ValIdx;
-  bool Failed = false;
 
-  explicit IrBuilder(const std::function<int64_t(Symbol)> &SlotOf)
+  explicit IrBuilder(const std::function<uint32_t(Symbol)> &SlotOf)
       : SlotOf(SlotOf) {}
-
-  uint32_t slot(Symbol S) {
-    int64_t I = SlotOf(S);
-    if (I < 0) {
-      Failed = true;
-      return 0;
-    }
-    return static_cast<uint32_t>(I);
-  }
 
   uint32_t lowerVal(const CpsValue *W) {
     if (auto It = ValIdx.find(W); It != ValIdx.end())
@@ -441,7 +451,7 @@ struct IrBuilder {
       break;
     case CpsValueKind::WK_Var:
       N.Kind = CpsIr::ValKind::Var;
-      N.A = slot(cast<CpsVar>(W)->name());
+      N.A = SlotOf(cast<CpsVar>(W)->name());
       break;
     case CpsValueKind::WK_Prim:
       N.Kind = cast<CpsPrim>(W)->op() == CpsPrimOp::Add1k
@@ -450,12 +460,9 @@ struct IrBuilder {
       break;
     case CpsValueKind::WK_Lam: {
       auto It = LamIdx.find(cast<CpsLam>(W));
-      if (It == LamIdx.end())
-        Failed = true;
-      else {
-        N.Kind = CpsIr::ValKind::Lam;
-        N.A = It->second;
-      }
+      assert(It != LamIdx.end() && "lambda outside the enumeration");
+      N.Kind = CpsIr::ValKind::Lam;
+      N.A = It->second;
       break;
     }
     }
@@ -469,10 +476,7 @@ struct IrBuilder {
   /// start at 1.
   uint32_t contIndex(const ContLam *C) {
     auto It = ContIdx.find(C);
-    if (It == ContIdx.end()) {
-      Failed = true;
-      return 0;
-    }
+    assert(It != ContIdx.end() && "continuation outside the enumeration");
     return It->second + 1;
   }
 
@@ -487,13 +491,13 @@ struct IrBuilder {
     switch (P->kind()) {
     case CpsTermKind::PK_Ret: {
       const auto *Ret = cast<CpsRet>(P);
-      N.A = slot(Ret->kvar());
+      N.A = SlotOf(Ret->kvar());
       N.B = lowerVal(Ret->arg());
       break;
     }
     case CpsTermKind::PK_LetVal: {
       const auto *Let = cast<CpsLetVal>(P);
-      N.A = slot(Let->var());
+      N.A = SlotOf(Let->var());
       N.B = lowerVal(Let->bound());
       N.C = lowerTerm(Let->body());
       break;
@@ -507,7 +511,7 @@ struct IrBuilder {
     }
     case CpsTermKind::PK_If: {
       const auto *If = cast<CpsIf>(P);
-      N.A = slot(If->kvar());
+      N.A = SlotOf(If->kvar());
       N.B = lowerVal(If->cond());
       N.C = lowerTerm(If->thenBranch());
       N.E = lowerTerm(If->elseBranch());
@@ -525,43 +529,25 @@ struct IrBuilder {
 
 } // namespace
 
-std::optional<CpsIr>
-cpsflow::cps::buildCpsIr(const CpsProgram &Program,
-                         const std::vector<const CpsLam *> &ExtraLams,
-                         const std::function<int64_t(Symbol)> &SlotOf) {
-  // Enumerate user and continuation lambdas exactly as Universe.cpp does
-  // (program + extras + lambdas nested in extra bodies, id-sorted and
-  // deduplicated), so array positions coincide with the closure/kont
-  // universe indices the analyzer derives from the same refs.
-  std::vector<const CpsLam *> Lams = collectCpsLams(Program.Root);
-  std::vector<const ContLam *> Conts = collectContLams(Program.Root);
-  for (const CpsLam *L : ExtraLams) {
-    Lams.push_back(L);
-    for (const CpsLam *N : collectCpsLams(L->body()))
-      Lams.push_back(N);
-    for (const ContLam *C : collectContLams(L->body()))
-      Conts.push_back(C);
-  }
-  auto ById = [](const auto *A, const auto *B) { return A->id() < B->id(); };
-  std::sort(Lams.begin(), Lams.end(), ById);
-  Lams.erase(std::unique(Lams.begin(), Lams.end()), Lams.end());
-  std::sort(Conts.begin(), Conts.end(), ById);
-  Conts.erase(std::unique(Conts.begin(), Conts.end()), Conts.end());
-
+CpsIr cpsflow::cps::buildCpsIr(const CpsProgram &Program,
+                               const CpsLambdas &Lambdas,
+                               const std::function<uint32_t(Symbol)> &SlotOf) {
+  const std::vector<const CpsLam *> &Lams = Lambdas.Lams;
+  const std::vector<const ContLam *> &Conts = Lambdas.Conts;
   IrBuilder B(SlotOf);
   B.Ir.Lams.resize(Lams.size());
   B.Ir.Conts.resize(Conts.size());
   for (uint32_t I = 0; I < Lams.size(); ++I) {
     B.LamIdx.emplace(Lams[I], I);
     CpsIr::LamNode &N = B.Ir.Lams[I];
-    N.ParamSlot = B.slot(Lams[I]->param());
-    N.KParamSlot = B.slot(Lams[I]->kparam());
+    N.ParamSlot = SlotOf(Lams[I]->param());
+    N.KParamSlot = SlotOf(Lams[I]->kparam());
     N.Src = Lams[I];
   }
   for (uint32_t I = 0; I < Conts.size(); ++I) {
     B.ContIdx.emplace(Conts[I], I);
     CpsIr::ContNode &N = B.Ir.Conts[I];
-    N.ParamSlot = B.slot(Conts[I]->param());
+    N.ParamSlot = SlotOf(Conts[I]->param());
     N.SrcId = Conts[I]->id();
     N.Loc = Conts[I]->loc();
     N.Src = Conts[I];
@@ -571,7 +557,5 @@ cpsflow::cps::buildCpsIr(const CpsProgram &Program,
   for (uint32_t I = 0; I < Lams.size(); ++I)
     B.Ir.Lams[I].Body = B.lowerTerm(Lams[I]->body());
   B.Ir.Root = B.lowerTerm(Program.Root);
-  if (B.Failed)
-    return std::nullopt;
   return std::move(B.Ir);
 }

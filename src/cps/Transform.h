@@ -101,6 +101,20 @@ std::vector<const CpsLam *> collectCpsLams(const CpsTerm *P);
 /// All continuation lambdas in \p P, in node-id order.
 std::vector<const ContLam *> collectContLams(const CpsTerm *P);
 
+/// The user and continuation lambdas a syntactic-CPS run of \p Program
+/// can reach when its initial store holds closures over \p ExtraLams:
+/// those of the program, the extras themselves, and those nested in the
+/// extras' bodies, each list in node-id order without duplicates. This
+/// one enumeration orders both the analyzer's closure/continuation
+/// universes (analysis/Universe.cpp) and the IR's `Lams`/`Conts` arrays
+/// (CpsIr.h), so a packed-set bit index is a universe rank.
+struct CpsLambdas {
+  std::vector<const CpsLam *> Lams;
+  std::vector<const ContLam *> Conts;
+};
+CpsLambdas enumerateLambdas(const CpsProgram &Program,
+                            const std::vector<const CpsLam *> &ExtraLams);
+
 } // namespace cps
 } // namespace cpsflow
 

@@ -427,7 +427,6 @@ void Server::workerLoop(unsigned WorkerId) {
 }
 
 void Server::processJob(Job J, unsigned WorkerId) {
-  const uint64_t Ordinal = J.Rec.ReqId;
   J.Rec.Worker = WorkerId;
   J.Rec.QueueUs = usSince(J.Enqueued);
   std::string Resp;
@@ -435,7 +434,7 @@ void Server::processJob(Job J, unsigned WorkerId) {
   // itself, so this catches only handler-level faults (injected or
   // real) — the worker answers and survives regardless.
   try {
-    CPSFLOW_FAULT_COUNTED(fault::Site::ServeHandler, Ordinal);
+    CPSFLOW_FAULT_COUNTED(fault::Site::ServeHandler, J.Rec.ReqId);
     Resp = handleAnalyze(J.Req, J.Rec, WorkerId);
   } catch (const std::bad_alloc &) {
     countError(ServeErrorKind::Memory);

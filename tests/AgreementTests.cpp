@@ -70,10 +70,12 @@ void checkAgreement(Context &Ctx, const syntax::Term *T,
   if (RD.ok()) {
     ASSERT_EQ(static_cast<int>(RD.Value.Tag),
               static_cast<int>(RS.Value.Tag));
-    if (RD.Value.isNum())
+    if (RD.Value.isNum()) {
       ASSERT_EQ(RD.Value.Num, RS.Value.Num);
-    if (RD.Value.isClosure())
+    }
+    if (RD.Value.isClosure()) {
       ASSERT_EQ(RD.Value.Lam, RS.Value.Lam);
+    }
     // The machines also build identical per-variable store histories.
     for (Symbol X : syntax::boundVars(T)) {
       std::vector<RtValue> HD = Direct.store().valuesAt(X);
@@ -82,8 +84,9 @@ void checkAgreement(Context &Ctx, const syntax::Term *T,
       for (size_t I = 0; I < HD.size(); ++I) {
         ASSERT_EQ(static_cast<int>(HD[I].Tag),
                   static_cast<int>(HS[I].Tag));
-        if (HD[I].isNum())
+        if (HD[I].isNum()) {
           ASSERT_EQ(HD[I].Num, HS[I].Num);
+        }
       }
     }
   }

@@ -158,8 +158,9 @@ TEST_P(AnfPreservation, RandomProgramsEvaluateTheSame) {
     if (R1.ok()) {
       ASSERT_EQ(static_cast<int>(R1.Value.Tag),
                 static_cast<int>(R2.Value.Tag));
-      if (R1.Value.isNum())
+      if (R1.Value.isNum()) {
         ASSERT_EQ(R1.Value.Num, R2.Value.Num) << print(Ctx, Full);
+      }
     }
   }
 }

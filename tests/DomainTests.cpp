@@ -14,6 +14,7 @@
 #include "domain/AbsStore.h"
 #include "domain/AbsValue.h"
 #include "domain/NumDomain.h"
+#include "domain/PackedSet.h"
 #include "syntax/Builder.h"
 
 #include <gtest/gtest.h>
@@ -65,8 +66,9 @@ TYPED_TEST(NumDomainLaws, LeqIsAPartialOrderWithJoinAsLub) {
       // ...and leq agrees with join-absorption.
       EXPECT_EQ(D::leq(A, B), D::join(A, B) == B);
       // antisymmetry
-      if (D::leq(A, B) && D::leq(B, A))
+      if (D::leq(A, B) && D::leq(B, A)) {
         EXPECT_TRUE(A == B);
+      }
     }
   }
 }
@@ -109,8 +111,9 @@ TYPED_TEST(NumDomainLaws, HashRespectsEquality) {
   auto S = samples<D>();
   for (const auto &A : S)
     for (const auto &B : S)
-      if (A == B)
+      if (A == B) {
         EXPECT_EQ(D::hash(A), D::hash(B));
+      }
 }
 
 TEST(ConstantDomain, ExactOnConstants) {
@@ -208,6 +211,66 @@ TEST(SortedSet, DeterministicOrderByNodeId) {
   EXPECT_EQ(Order[0].Tag, CloRef::K::Inc);
   EXPECT_EQ(Order[1].Lam, L1);
   EXPECT_EQ(Order[2].Lam, L2);
+}
+
+/// Members of \p S in forEach order.
+template <typename Set> std::vector<uint32_t> members(const Set &S) {
+  std::vector<uint32_t> Out;
+  S.forEach([&](uint32_t I) { Out.push_back(I); });
+  return Out;
+}
+
+/// Both packed set types over the same ranks (below 128) agree on every
+/// lattice operation, and iterate in ascending rank.
+TEST(PackedSet, BitVectorAgreesWithBits128) {
+  const std::vector<std::vector<uint32_t>> Sets = {
+      {}, {0}, {1, 63}, {64}, {0, 64, 127}, {5, 6, 7, 100}, {127}};
+  auto Make = [](const std::vector<uint32_t> &Ranks, auto Set) {
+    for (uint32_t R : Ranks)
+      Set.set(R);
+    return Set;
+  };
+  for (const auto &A : Sets)
+    for (const auto &B : Sets) {
+      Bits128 NA = Make(A, Bits128()), NB = Make(B, Bits128());
+      BitVector WA = Make(A, BitVector()), WB = Make(B, BitVector());
+      EXPECT_EQ(members(Bits128::join(NA, NB)),
+                members(BitVector::join(WA, WB)));
+      EXPECT_EQ(Bits128::leq(NA, NB), BitVector::leq(WA, WB));
+      EXPECT_EQ(NA == NB, WA == WB);
+      EXPECT_EQ(NA.size(), WA.size());
+      EXPECT_EQ(NA.empty(), WA.empty());
+      EXPECT_EQ(members(NA), A);
+      EXPECT_EQ(members(WA), A);
+    }
+  for (uint32_t N : {0u, 1u, 63u, 64u, 65u, 127u, 128u})
+    EXPECT_EQ(members(Bits128::firstN(N)), members(BitVector::firstN(N)));
+}
+
+/// Past 128 elements, equality and hashing see the set, not the order
+/// it was built in, and join/leq behave across different word counts.
+TEST(PackedSet, BitVectorIsCanonicalAtAnyWidth) {
+  BitVector A = BitVector::single(200);
+  A.set(3);
+  BitVector B = BitVector::single(3);
+  B.set(200);
+  EXPECT_TRUE(A == B);
+  EXPECT_EQ(A.hashValue(), B.hashValue());
+  EXPECT_EQ(members(A), (std::vector<uint32_t>{3, 200}));
+
+  BitVector Short = BitVector::single(3);
+  EXPECT_TRUE(BitVector::leq(Short, A));
+  EXPECT_FALSE(BitVector::leq(A, Short));
+  EXPECT_TRUE(BitVector::join(Short, A) == A);
+  EXPECT_TRUE(BitVector::join(A, Short) == A);
+  EXPECT_TRUE(BitVector() == BitVector::firstN(0));
+  EXPECT_TRUE(BitVector().empty());
+
+  BitVector Top = BitVector::firstN(300);
+  EXPECT_EQ(Top.size(), 300u);
+  EXPECT_TRUE(BitVector::leq(A, Top));
+  EXPECT_FALSE(BitVector::leq(Top, A));
+  EXPECT_TRUE(BitVector::join(Top, A) == Top);
 }
 
 TEST(AbsVal, ProductLatticeLaws) {

@@ -128,6 +128,16 @@ TEST(InternEquivalence, WorkloadFamilies) {
   checkWitness(Ctx, gen::loopProbe(Ctx, 3));
   checkWitness(Ctx, gen::omega(Ctx));
   checkWitness(Ctx, gen::counterLoop(Ctx, 5));
+  // Universes past 128 elements: the syntactic leg runs on word-vector
+  // sets instead of two-word ones.
+  for (const Witness &W :
+       {gen::closureTower(Ctx, 64), gen::convergingChain(Ctx, 128)}) {
+    SyntacticCpsAnalyzer<CD> A(Ctx, W.Cps, cpsBindings<CD>(W));
+    EXPECT_GT(std::max(A.closureUniverse().size(), A.kontUniverse().size()),
+              128u)
+        << W.Name;
+    checkWitness(Ctx, W);
+  }
 }
 
 /// Budget sweep on a duplication workload: the dup analyzer's credit

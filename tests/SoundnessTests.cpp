@@ -143,10 +143,11 @@ void checkSoundness(Context &Ctx, const syntax::Term *T,
     EXPECT_TRUE(domain::AbsVal<D>::leq(alpha<D>(CR.Value), AS.Answer.Value))
         << Prog << " (semantic)";
   }
-  if (CCR.ok())
+  if (CCR.ok()) {
     EXPECT_TRUE(
         domain::CpsAbsVal<D>::leq(alphaCps<D>(CCR.Value), AC.Answer.Value))
         << Prog << " (syntactic)";
+  }
 
   // --- Store soundness: every concrete cell is covered by the final
   // abstract store entry of its variable.
@@ -160,11 +161,12 @@ void checkSoundness(Context &Ctx, const syntax::Term *T,
           << Prog << "\n semantic store at " << Ctx.spelling(Cell.Var);
     }
   }
-  if (CCR.ok())
+  if (CCR.ok()) {
     for (const auto &Cell : CCI.store().cells())
       EXPECT_TRUE(domain::CpsAbsVal<D>::leq(alphaCps<D>(Cell.Value),
                                             AC.valueOf(Cell.Var)))
           << Prog << "\n cps store at " << Ctx.spelling(Cell.Var);
+  }
 
   // --- Theorem 5.4: semantic at least as precise as direct.
   std::vector<Symbol> Vars = syntax::collectVariables(T);
@@ -205,8 +207,9 @@ void checkSoundness(Context &Ctx, const syntax::Term *T,
   if (std::is_same_v<D, domain::UnitDomain> && AD.Stats.Cuts == 0 &&
       AS.Stats.Cuts == 0 && AD.Stats.DeadPaths == 0 &&
       AS.Stats.DeadPaths == 0 && AD.Stats.PrunedBranches == 0 &&
-      AS.Stats.PrunedBranches == 0)
+      AS.Stats.PrunedBranches == 0) {
     EXPECT_EQ(C54.Overall, PrecisionOrder::Equal) << Prog;
+  }
 }
 
 template <typename D> void sweep(uint64_t Seed) {

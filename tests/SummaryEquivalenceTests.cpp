@@ -11,20 +11,23 @@
 /// reference analyzer — on every committed corpus program, in all five
 /// numeric domains. The summaries-off leg additionally pins the full
 /// work-counter profile (goals, cache hits, cuts, ...), because the flat
-/// label-arena IR engine claims observational identity with the original
-/// tree walker, not just answer equality.
+/// label-arena IR engine claims observational identity with the
+/// pointer-tree reference walker, not just answer equality.
 ///
-/// A perf smoke test keeps the point of the whole exercise honest: with
+/// Two perf smoke tests keep the point of the whole exercise honest: with
 /// summaries on, arithmetic.scm — the corpus cliff program — must stay
 /// well under the pre-summarization goal count (14,149 at the time this
-/// was written).
+/// was written), and a conditional chain whose closure universe is too
+/// wide for two-word sets must cost about what the narrow chain costs.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Compare.h"
 #include "analysis/SyntacticCpsAnalyzer.h"
+#include "analysis/Witnesses.h"
 #include "anf/Anf.h"
 #include "cps/Transform.h"
+#include "gen/Workloads.h"
 #include "reference/RefSyntacticCpsAnalyzer.h"
 #include "syntax/Analysis.h"
 #include "syntax/Sugar.h"
@@ -60,7 +63,7 @@ std::string slurp(const fs::path &P) {
   return Buf.str();
 }
 
-/// Both engines on one program/domain: the reference walker, the new
+/// Both analyzers on one program/domain: the reference walker, the new
 /// analyzer with summaries off (answers and work counters must agree),
 /// and with summaries on (answers must agree; the counters then satisfy
 /// the accounting identity hits + misses + cacheHits + cuts = goals).
@@ -164,6 +167,48 @@ TEST(SummaryEquivalence, ArithmeticGoalsStayUnderSmokeCeiling) {
   EXPECT_LE(R.Stats.Goals, 9500u)
       << "the arithmetic.scm syntactic cliff is back";
   EXPECT_GT(R.Stats.SummaryHits, 0u);
+}
+
+/// Summaries at any universe width. examples/wide/ holds
+/// conditional-chain-12 behind 140 unused lambdas: its 142-closure
+/// universe takes word-vector sets, and its summarized syntactic leg
+/// must stay within 2x of the unpadded chain's goals (the unsummarized
+/// walk of all 2^12 paths takes 24,712), with the reference analyzer's
+/// answer and store.
+TEST(SummaryEquivalence, WidePaddedChainStaysSummarized) {
+  using D = domain::ConstantDomain;
+  analysis::AnalyzerOptions On;
+  On.MaxGoals = 5'000'000;
+  On.UseSummaries = true;
+
+  Context Ctx;
+  std::string Src = slurp(fs::path(CPSFLOW_SOURCE_DIR) /
+                          "examples/wide/conditional_chain_padded.scm");
+  Result<const syntax::Term *> Raw = syntax::parseSugaredProgram(Ctx, Src);
+  ASSERT_TRUE(Raw.hasValue());
+  const syntax::Term *T = anf::normalizeProgram(Ctx, *Raw);
+  Result<cps::CpsProgram> P = cps::cpsTransform(Ctx, T);
+  ASSERT_TRUE(P.hasValue());
+  std::vector<analysis::CpsBinding<D>> CInit;
+  for (Symbol X : syntax::freeVars(T))
+    CInit.push_back(
+        {X, analysis::deltaE<D>(domain::AbsVal<D>::number(D::top()), *P)});
+
+  analysis::SyntacticCpsAnalyzer<D> Padded(Ctx, *P, CInit, On);
+  ASSERT_GT(Padded.closureUniverse().size(), 128u);
+  auto R = Padded.run();
+  EXPECT_FALSE(R.Stats.BudgetExhausted);
+  auto Ref = refimpl::RefSyntacticCpsAnalyzer<D>(Ctx, *P, CInit, On).run();
+  EXPECT_TRUE(R.Answer == Ref.Answer)
+      << "summarized wide answer/store differs from the reference";
+
+  Context NarrowCtx;
+  analysis::Witness W = gen::conditionalChain(NarrowCtx, 12);
+  auto Narrow = analysis::SyntacticCpsAnalyzer<D>(
+                    NarrowCtx, W.Cps, analysis::cpsBindings<D>(W), On)
+                    .run();
+  EXPECT_LE(R.Stats.Goals, 2 * Narrow.Stats.Goals)
+      << "the wide chain lost its continuation summaries";
 }
 
 } // namespace

@@ -337,8 +337,9 @@ TEST(AlphaEquivalence, IsAnEquivalenceRelationAndRespectsRenaming) {
     EXPECT_TRUE(alphaEquivalent(T, R));
     EXPECT_TRUE(alphaEquivalent(R, T));
     // Programs of different sizes can never be alpha-equivalent.
-    if (Prev && countNodes(T) != countNodes(Prev))
+    if (Prev && countNodes(T) != countNodes(Prev)) {
       EXPECT_FALSE(alphaEquivalent(T, Prev));
+    }
     Prev = T;
   }
 }
