@@ -5,17 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic fault injection for the containment tests: throw or
-/// stall at named sites inside the analyzers and the batch driver, so
-/// tests can prove that one failing program becomes a structured failure
-/// record instead of a dead batch, and that the watchdog reclaims a
-/// stalled worker.
+/// Deterministic fault injection for the containment tests: throw,
+/// stall or tear a write at named sites inside the analyzers, the batch
+/// driver, the fuzzer and the serve daemon, so tests can prove that one
+/// failing program becomes a structured failure record instead of a
+/// dead batch, and that the watchdog reclaims a stalled worker.
 ///
 /// The whole facility is compiled out unless CPSFLOW_FAULT_INJECTION is
-/// defined (CMake option of the same name; forced off for Release
-/// builds): the CPSFLOW_FAULT_* macros expand to nothing, so release
-/// binaries carry zero fault-injection code or data. When compiled in,
-/// the disarmed fast path is a single relaxed atomic load per site hit.
+/// defined (CMake option of the same name; on by default outside
+/// Release, off by default in Release and turned on there with
+/// -DCPSFLOW_FAULT_INJECTION=ON): the CPSFLOW_FAULT_* macros expand to
+/// nothing, so default release binaries carry zero fault-injection code
+/// or data. When compiled in, the disarmed fast path is a single relaxed
+/// atomic load per site hit.
 ///
 /// Usage (tests):
 ///
@@ -36,6 +38,20 @@
 ///     into a reported oracle violation, so tests (and the nightly
 ///     canary) can prove the campaign's detect → shrink → replay path
 ///     works end to end.
+///   * ServeWorker — hit at the top of a serve worker's analysis body
+///     with the request ordinal; trips at Plan.AtCount or every
+///     Plan.Every requests. The throw or bad_alloc becomes an
+///     `internal` or `memory` error response; the pool lives.
+///   * ServeHandler — hit in the serve worker loop before the request
+///     handler runs, with the request id; counted like ServeWorker.
+///     Contained at handler level (Stall fodder for deadline tests).
+///   * CacheWrite — queried by the result cache's store() with the
+///     entry's file name (hex cache-key hash; Plan.Name "" = every
+///     entry). Only the Tear action applies, and it is cooperative:
+///     nothing throws, shouldTear() reports true and store() publishes
+///     a half-written frame, which the next lookup() quarantines as
+///     corrupt. ServeTest.TornCacheWriteDegradesToUncachedService
+///     arms this site.
 ///
 //===----------------------------------------------------------------------===//
 
